@@ -521,7 +521,7 @@ let regenerate_figures ~quick ~force_mismatch ~corpus =
         Format.printf
           "  view-based TSO: %-9s   operational TSO: %-9s  -> the claim fails \
            on store-forwarding (see EXPERIMENTS.md)@."
-          (verdict (Smem_core.Tso.check h))
+          (verdict (Option.is_some ((model "tso").Model.witness h)))
           (verdict (Smem_core.Tso_operational.check h))
     | None -> ());
     corpus_matrix ();
@@ -626,6 +626,7 @@ let reach_bench key (test : Ltest.t) =
 
 let scaling_benches =
   (* SC-checker latency as history size grows: 2x2, 2x3, 3x3 ops. *)
+  let sc = model "sc" in
   let history rows = H.make rows in
   let w = H.write and r = H.read in
   let h4 = history [ [ w "x" 1; r "y" 0 ]; [ w "y" 1; r "x" 0 ] ] in
@@ -643,7 +644,7 @@ let scaling_benches =
   List.map
     (fun (name, h) ->
       Test.make ~name:("scaling/sc/" ^ name)
-        (Staged.stage (fun () -> ignore (Smem_core.Sc.check h))))
+        (Staged.stage (fun () -> ignore (sc.Model.witness h))))
     [ ("4ops", h4); ("6ops", h6); ("9ops", h9) ]
 
 let lattice_bench =

@@ -18,17 +18,6 @@ let view_ops h operations proc =
   | `All_ops -> History.all_ops_set h
   | `Writes_of_others -> History.view_ops_writes h proc
 
-let write_po h w1 w2 =
-  let o1 = History.op h w1 and o2 = History.op h w2 in
-  Op.same_proc o1 o2 && o1.Op.index < o2.Op.index
-
-let chain_rel nops order =
-  let rel = Rel.create nops in
-  for i = 0 to Array.length order - 2 do
-    Rel.add rel order.(i) order.(i + 1)
-  done;
-  rel
-
 let witness ~operations ~mutual ~orderings h =
   let nops = History.nops h in
   let nprocs = History.nprocs h in
@@ -151,10 +140,11 @@ let witness ~operations ~mutual ~orderings h =
         let writes = Array.of_list (History.writes h) in
         Reads_from.iter h ~f:(fun rf ->
             let rf_rel = Engine.rf_edges h ~rf in
-            Perm.iter_constrained writes ~precedes:(write_po h) ~f:(fun worder ->
+            Perm.iter_constrained writes ~precedes:(Coherence.default_respect h)
+              ~f:(fun worder ->
                 Stats.count_co ();
                 let co = Coherence.of_write_order h worder in
-                engine_a ~rf ~co ~rf_rel ~extra:(chain_rel nops worder)))
+                engine_a ~rf ~co ~rf_rel ~extra:(Spec.chain_rel nops worder)))
   in
   !found
 
@@ -185,7 +175,8 @@ let make ~key ~name ?description ~operations ~mutual ~orderings () =
                   | `Semi_causal -> "semi-causal")
                 orderings))
   in
-  Model.make ~key ~name ~description (witness ~operations ~mutual ~orderings)
+  Model.make ~key ~name ~description
+    (Model.Custom (witness ~operations ~mutual ~orderings))
 
 let parse_operations = function
   | "all" -> Ok `All_ops

@@ -3,132 +3,45 @@
     membership and, when the history is allowed, exhibits the processor
     views that demonstrate it.
 
-    A model may additionally declare its {e parameter triple} (§2 of the
-    paper): the view population, the ordering requirement, and the
-    mutual-consistency requirement, plus the legality discipline its
-    views satisfy.  The triple is pure data; the certificate checking
-    kernel ({!Smem_cert.Kernel}) re-derives every obligation it names
-    from a history alone, without calling the search engine.  A model
-    without a triple (the operational TSO replay, composed {!Build}
+    A model either {e is} its parameter triple (§2 of the paper) — the
+    view population, the ordering requirement, the mutual-consistency
+    requirement and the legality discipline ({!Params}) — or carries a
+    custom witness function; never both.  A triple is pure data: its
+    witness search is compiled from it by {!Spec}, and the certificate
+    checking kernel ({!Smem_cert.Kernel}) re-derives every obligation
+    it names from a history alone, without calling the search engine.
+    A custom model (the operational TSO replay, composed {!Build}
     models) cannot be certified. *)
 
-type population =
-  | Shared_all  (** one view containing every operation (SC, atomic) *)
-  | Own_plus_writes
-      (** per-processor views of own operations plus all writes
-          ([δp = w]: TSO, PC, RC, PRAM, causal, ...) *)
-  | Per_location
-      (** one shared view per location containing exactly the accesses
-          to it (the coherence model) *)
-  | Per_proc_block of { blocks : int }
-      (** the partition-consistency family (Cheng–Higham–Kawash): one
-          view per processor {e per partition block}, holding the
-          owner's operations on the block's locations plus every write
-          to them.  Locations are partitioned by interned identifier
-          modulo [blocks]; one block recovers a PC-G-like model,
-          singleton blocks recover coherence. *)
-  | Own_plus_updates
-      (** per-processor views of own operations plus every {e update} —
-          all writes, and the reads that mutate object state (queue
-          dequeues).  On register-only histories this coincides with
-          {!Own_plus_writes}; it is the population of the
-          object-causal family. *)
+include module type of struct
+  include Params
+end
+(** The parameter triple's types and renderers ({!Params}), re-exported
+    so [Model.Shared_all], [Model.params] and friends name them. *)
 
-type ordering =
-  | Program_order  (** po (SC, PRAM, PC-G, coherence) *)
-  | Partial_program_order  (** ppo — reads bypass earlier writes (TSO) *)
-  | Own_program_order  (** the view owner's po only (local) *)
-  | Own_po_plus_po_loc  (** owner's po plus everyone's po_loc (slow) *)
-  | Po_plus_real_time  (** po plus interval precedence (atomic) *)
-  | Causal_order  (** (po ∪ wb)+ for the committed reads-from map *)
-  | Causal_plus_coherence  (** (causal ∪ co)+ (coherent causal) *)
-  | Semi_causal  (** (ppo ∪ rwb ∪ rrb)+ (PC) *)
-  | Own_ppo_bracketed
-      (** owner's ppo plus the §3.4 bracketing edges (RC) *)
-  | Sync_fences
-      (** two-way fences around labeled accesses plus po_loc (WO) *)
-  | Session of { ryw : bool; mr : bool; mw : bool; wfr : bool }
-      (** the session-guarantee family (Terry et al., via Almeida's
-          consistency framework): the selected program-order /
-          writes-before projections, transitively closed.  [ryw]
-          read-your-writes keeps each processor's own write→read
-          program order; [mr] monotonic reads its own read→read order;
-          [mw] monotonic writes every processor's write→write order in
-          every view; [wfr] writes-follow-reads orders each read's
-          writer before the reader's subsequent writes in every view
-          (this one commits to a reads-from map, so it forces
-          {!Writer_legal}). *)
+type semantics =
+  | Derived of params
+      (** the model is its parameter triple: the witness search is
+          {!Spec.witness} of it, and certificates can be checked *)
+  | Custom of (History.t -> Witness.t option)
+      (** an operational or ad-hoc model (the operational TSO replay,
+          composed {!Build} models, named-partition PC): its own
+          witness function, no triple, no certificates *)
 
-type mutual =
-  | No_mutual
-  | Coherence_agreement
-      (** all views order each location's writes identically *)
-  | Global_write_order  (** all views order {e all} writes identically *)
-  | Labeled_sc
-      (** coherence plus one legal linear extension of po on labeled
-          operations shared by all views (RC_sc) *)
-  | Labeled_pc
-      (** coherence plus the labeled subhistory's semi-causality
-          (RC_pc) *)
-  | Labeled_total
-      (** one linear extension of po on labeled operations shared by
-          all views, with no coherence requirement (weak ordering) *)
-
-type legality =
-  | Value_legal
-      (** each read returns the value of the most recent write to its
-          location in its view (or the initial 0) *)
-  | Writer_legal
-      (** each read returns exactly its assigned writer: the witness
-          commits to a reads-from map *)
-  | Object_legal
-      (** each view is a legal sequential history of every object per
-          its {!Sort}: registers return the most recent write, queues
-          are FIFO, counters return the number of prior increments.
-          Reads of rf-able sorts (registers, queues) still commit to a
-          reads-from map — it seeds the causal order — while counter
-          reads carry no reads-from edge. *)
-
-type params = {
-  population : population;
-  ordering : ordering;
-  mutual : mutual;
-  legality : legality;
-}
-
-type t = {
+type t = private {
   key : string;  (** stable machine-readable identifier, e.g. ["tso"] *)
   name : string;  (** display name, e.g. ["Total Store Ordering"] *)
   description : string;
   params : params option;
-      (** the paper's parameter triple, when the model is expressible in
-          it (drives certificate checking); [None] for operational or
-          ad-hoc models *)
+      (** the triple of a [Derived] model, [None] for a [Custom] one *)
   witness : History.t -> Witness.t option;
+      (** the model's own witness search: {!Spec.witness} of [params]
+          for a [Derived] model *)
 }
+(** Private: a model is built only through {!make}, so [params] and
+    [witness] can never disagree. *)
 
-val make :
-  key:string ->
-  name:string ->
-  description:string ->
-  ?params:params ->
-  (History.t -> Witness.t option) ->
-  t
-
-(** {1 Parameter rendering}
-
-    Stable human-and-machine-readable names for the parameter
-    dimensions, used by the model catalogue ([smem models], the
-    [models] API request) and the documentation. *)
-
-val population_to_string : population -> string
-val ordering_to_string : ordering -> string
-val mutual_to_string : mutual -> string
-val legality_to_string : legality -> string
-
-val params_strings : params -> (string * string) list
-(** The quadruple as [(dimension, value)] rows, in the fixed order
-    population, ordering, mutual, legality. *)
+val make : key:string -> name:string -> description:string -> semantics -> t
 
 val check : t -> History.t -> bool
 (** [check m h] — is [h] in the set of histories allowed by [m]?
@@ -137,8 +50,8 @@ val check : t -> History.t -> bool
 
 (** {1 Engine selection}
 
-    Two interchangeable witness searches exist: the models' own
-    enumeration of rf × co candidates ([Enum], the baseline), and the
+    Two interchangeable witness searches exist: the enumeration of rf ×
+    co candidates compiled by {!Spec} ([Enum], the baseline), and the
     constraint-propagation engine in [Smem_solve] ([Solve]).  The mode
     is process-global and must be set before worker domains spawn; the
     solver registers itself via {!register_solver} (this library cannot

@@ -86,7 +86,8 @@ let model =
       "Store-buffer machine replay of the history: per-processor FIFO \
        buffers over a single-ported memory (cross-validates the \
        view-based TSO characterization)."
-    (fun h ->
-      if check h then
-        Some (Witness.per_proc [] ~notes:[ "accepted by store-buffer replay" ])
-      else None)
+    (Model.Custom
+       (fun h ->
+         if check h then
+           Some (Witness.per_proc [] ~notes:[ "accepted by store-buffer replay" ])
+         else None))

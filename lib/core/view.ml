@@ -80,3 +80,50 @@ let exists ?(memoize = true) h ~ops ~order ~legality =
     end
   in
   if go 0 0 then Some (Array.to_list seq) else None
+
+let exists_objects h ~ops ~order =
+  let nops = History.nops h in
+  if nops >= Sys.int_size then
+    raise (Too_large { nops; limit = Sys.int_size - 1 });
+  let sorts = Array.init (History.nlocs h) (fun l -> Sort.of_loc h l) in
+  let member = Array.make nops false in
+  Bitset.iter (fun i -> member.(i) <- true) ops;
+  let total = Bitset.cardinal ops in
+  let preds = Array.make nops [] in
+  Rel.iter_pairs
+    (fun a b ->
+      if a <> b && member.(a) && member.(b) then preds.(b) <- a :: preds.(b))
+    order;
+  let elems = Bitset.elements ops in
+  let init_states =
+    Array.init (History.nlocs h) (fun l -> Sort.initial sorts.(l))
+  in
+  let failed = Hashtbl.create 64 in
+  let rec go placed seq count states =
+    if count = total then Some (List.rev seq)
+    else if Hashtbl.mem failed (placed, states) then None
+    else begin
+      let result = ref None in
+      let try_op id =
+        !result = None && member.(id)
+        && placed land (1 lsl id) = 0
+        && List.for_all (fun p -> placed land (1 lsl p) <> 0) preds.(id)
+        &&
+        let o = History.op h id in
+        match Sort.step sorts.(o.Op.loc) states.(o.Op.loc) o with
+        | None -> false
+        | Some st ->
+            let states' = Array.copy states in
+            states'.(o.Op.loc) <- st;
+            (match go (placed lor (1 lsl id)) (id :: seq) (count + 1) states' with
+            | Some _ as r ->
+                result := r;
+                true
+            | None -> false)
+      in
+      let _ : bool = List.exists try_op elems in
+      if !result = None then Hashtbl.replace failed (placed, states) ();
+      !result
+    end
+  in
+  go 0 [] 0 init_states

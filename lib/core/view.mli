@@ -50,3 +50,12 @@ val exists :
     states; disabling it degrades the search to plain backtracking over
     interleavings — exposed only so the ablation benchmark can measure
     what the memoization buys (see bench/main.ml). *)
+
+val exists_objects :
+  History.t -> ops:Bitset.t -> order:Rel.t -> int list option
+(** A linear extension of [order] restricted to [ops] that replays as a
+    legal sequential history of every object per its {!Sort}: registers
+    return the most recent write, queues are FIFO, counters return the
+    number of prior increments.  Memoizes failed (placed-set,
+    object-states) pairs, like {!exists}.
+    @raise Too_large as {!exists}. *)

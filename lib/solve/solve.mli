@@ -13,19 +13,18 @@
     {!Inc}, across re-checks of an extended history).
 
     Verdicts are equivalent to the enumerator's by construction:
-    propagation only prunes candidates the model's own per-candidate
-    check would reject, and every fully assigned candidate is validated
-    by that same check (the leaf shares the enumerators' code —
-    {!Smem_core.Engine.check}, {!Smem_core.View.exists}, the helpers
-    exposed by the model modules).  Witnesses are built by the same
-    constructors, so certificates extracted from solver runs remain
-    kernel-checkable.  The differential fuzz oracle
+    propagation only prunes candidates the model's per-candidate check
+    would reject, and every fully assigned candidate is validated by
+    that same check — {!Smem_core.Spec.leaf}, compiled from the model's
+    parameter triple exactly as the enumerator's is.  Witnesses are
+    built by the same constructors, so certificates extracted from
+    solver runs remain kernel-checkable.  The differential fuzz oracle
     ([Smem_fuzz.Oracle.engines]) tests the equivalence continuously. *)
 
 val witness : Smem_core.Model.t -> Smem_core.History.t -> Smem_core.Witness.t option
 (** The solver's witness search.  Falls back to the model's own witness
-    function when the model declares no parameter triple (or a triple
-    no registered model carries). *)
+    function when the model declares no parameter triple, or an
+    object-legal one. *)
 
 val check : Smem_core.Model.t -> Smem_core.History.t -> bool
 

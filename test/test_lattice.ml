@@ -6,6 +6,8 @@ module Classify = Smem_lattice.Classify
 module Registry = Smem_core.Registry
 module Model = Smem_core.Model
 
+let model key = Option.get (Registry.find key)
+
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -131,7 +133,7 @@ let extended_family () =
 
 let merge_is_sane () =
   let c1 = { Enumerate.procs = [ 1 ]; nlocs = 1; max_value = 1; labeled = false } in
-  let models = [ Smem_core.Sc.model; Smem_core.Pram.model ] in
+  let models = [ model "sc"; model "pram" ] in
   let m1 = Classify.classify ~models c1 in
   let merged = Classify.merge m1 m1 in
   check Alcotest.int "totals add" (2 * m1.Classify.total) merged.Classify.total;
@@ -140,11 +142,11 @@ let merge_is_sane () =
     merged.Classify.allowed_counts.(0);
   Alcotest.check_raises "model mismatch rejected"
     (Invalid_argument "Classify.merge: model lists differ") (fun () ->
-      ignore (Classify.merge m1 (Classify.classify ~models:[ Smem_core.Sc.model ] c1)))
+      ignore (Classify.merge m1 (Classify.classify ~models:[ model "sc" ] c1)))
 
 let dot_output () =
   let c = { Enumerate.procs = [ 1 ]; nlocs = 1; max_value = 1; labeled = false } in
-  let m = Classify.classify ~models:[ Smem_core.Sc.model; Smem_core.Pram.model ] c in
+  let m = Classify.classify ~models:[ model "sc"; model "pram" ] c in
   let dot = Classify.to_dot m in
   check Alcotest.bool "digraph" true (String.length dot > 0 && String.sub dot 0 7 = "digraph")
 

@@ -275,14 +275,14 @@ let runner_agreement () =
     Test.make ~name:"tiny" ~expect:[ ("sc", Test.Allowed) ]
       [ [ Smem_core.History.write "x" 1 ] ]
   in
-  let results = Runner.run_test ~models:[ Smem_core.Sc.model ] t in
+  let results = Runner.run_test ~models:[ Option.get (Smem_core.Registry.find "sc") ] t in
   check Alcotest.int "one result" 1 (List.length results);
   check Alcotest.bool "agrees" true (List.for_all Runner.agrees results);
   let bad =
     Test.make ~name:"tiny2" ~expect:[ ("sc", Test.Forbidden) ]
       [ [ Smem_core.History.write "x" 1 ] ]
   in
-  let results2 = Runner.run_test ~models:[ Smem_core.Sc.model ] bad in
+  let results2 = Runner.run_test ~models:[ Option.get (Smem_core.Registry.find "sc") ] bad in
   check Alcotest.int "one mismatch" 1 (List.length (Runner.mismatches results2))
 
 (* Print/parse round-trip on random tests, covering labels, intervals

@@ -20,6 +20,8 @@ module Enumerate = Smem_lattice.Enumerate
 module Distinguish = Smem_lattice.Distinguish
 module Helpers = Smem_testlib.Helpers
 
+let allows key h = Model.check (Option.get (Registry.find key)) h
+
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -233,11 +235,11 @@ let naive_pram h =
 
 let prop_pruned_sc_matches_naive =
   QCheck.Test.make ~count:150 ~name:"pruned SC search == naive reference"
-    (Helpers.arb_history ()) (fun h -> Smem_core.Sc.check h = naive_sc h)
+    (Helpers.arb_history ()) (fun h -> allows "sc" h = naive_sc h)
 
 let prop_pruned_pram_matches_naive =
   QCheck.Test.make ~count:150 ~name:"pruned PRAM search == naive reference"
-    (Helpers.arb_history ()) (fun h -> Smem_core.Pram.check h = naive_pram h)
+    (Helpers.arb_history ()) (fun h -> allows "pram" h = naive_pram h)
 
 let prop_parallel_check_matches_serial =
   (* Every registry model, random histories: fanning the checks over a

@@ -611,6 +611,48 @@ let frames_drain_without_blocking () =
       Unix.close w;
       check (Alcotest.option Alcotest.string) "eof" None (Frames.next f))
 
+(* A source that hands out a fixed list of reads, one chunk per call. *)
+let scripted_frames chunks =
+  let pending = ref chunks in
+  let read buf pos len =
+    match !pending with
+    | [] -> 0
+    | c :: rest ->
+        let n = min len (String.length c) in
+        Bytes.blit_string c 0 buf pos n;
+        pending :=
+          if n = String.length c then rest
+          else String.sub c n (String.length c - n) :: rest;
+        n
+  in
+  Frames.of_source { Frames.read; readable = (fun () -> !pending <> []) }
+
+let frames_long_line_byte_exact () =
+  let line = String.init (5 * 1024 * 1024) (fun i -> Char.chr (32 + (i mod 90))) in
+  let chunk = 65536 in
+  let chunks =
+    List.init (String.length line / chunk) (fun k ->
+        String.sub line (k * chunk) chunk)
+    @ [ "\n"; "next\n" ]
+  in
+  let f = scripted_frames chunks in
+  (match Frames.next f with
+  | Some l ->
+      check Alcotest.int "length" (String.length line) (String.length l);
+      check Alcotest.bool "byte-exact" true (String.equal line l)
+  | None -> Alcotest.fail "no line");
+  check (Alcotest.option Alcotest.string) "following line" (Some "next")
+    (Frames.next f);
+  check (Alcotest.option Alcotest.string) "eof" None (Frames.next f)
+
+let frames_crlf_split_across_reads () =
+  let f = scripted_frames [ "alpha\r"; "\nbeta\r\n" ] in
+  check (Alcotest.option Alcotest.string) "cr of a split crlf stripped"
+    (Some "alpha") (Frames.next f);
+  check (Alcotest.option Alcotest.string) "whole crlf stripped" (Some "beta")
+    (Frames.next f);
+  check (Alcotest.option Alcotest.string) "eof" None (Frames.next f)
+
 (* ---------------- sched ---------------- *)
 
 let sched_map_in_order () =
@@ -810,8 +852,12 @@ let () =
             server_answers_in_kind;
         ] );
       ( "frames",
-        [ tc "drain takes only what is available" frames_drain_without_blocking ]
-      );
+        [
+          tc "drain takes only what is available" frames_drain_without_blocking;
+          tc "multi-MiB line in 64 KiB reads, byte-exact"
+            frames_long_line_byte_exact;
+          tc "crlf split across two reads" frames_crlf_split_across_reads;
+        ] );
       ("sched", [ tc "map: ordered results, exceptions" sched_map_in_order ]);
       ( "store",
         [
