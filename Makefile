@@ -2,7 +2,7 @@
 
 EXAMPLES := quickstart bakery_demo lattice_explore litmus_tour compose_models
 
-.PHONY: all build test bench bench-figures examples fuzz-smoke certs serve-smoke serve-load sim-smoke corpus solver family-smoke fmt fmt-check ci clean
+.PHONY: all build test bench bench-figures examples fuzz-smoke certs serve-smoke serve-load sim-smoke corpus solver family-smoke perfbench-smoke fmt fmt-check ci clean
 
 all: build
 
@@ -96,6 +96,14 @@ family-smoke: build
 	dune exec bin/smem.exe -- cert verify _build/family-certs/*.cert
 	dune exec bin/smem.exe -- fuzz --seed 42 --count 200 --no-machines --stats
 
+# The benchmark's three workloads for two seconds each: every verdict
+# is checked (the certificate kernel over every certifiable cell of the
+# generated corpus, the builtin corpus against the golden verdicts,
+# the Figure-5 lattice and the section-5 Bakery claims), and any wrong
+# one fails the run.  See perfbench/README.md.
+perfbench-smoke:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 2
+
 # Deterministic simulation of the serving stack: seeded schedules,
 # every benign fault enabled, zero invariant violations expected.
 # Failing schedules are shrunk and printed as replayable commands.
@@ -111,7 +119,7 @@ fmt-check:
 
 # What the CI workflow runs, minus the format job (ocamlformat may not
 # be installed locally).
-ci: build test examples fuzz-smoke certs serve-smoke serve-load corpus solver family-smoke sim-smoke bench-figures
+ci: build test examples fuzz-smoke certs serve-smoke serve-load corpus solver family-smoke sim-smoke bench-figures perfbench-smoke
 
 clean:
 	dune clean

@@ -32,13 +32,10 @@ val prefix : t -> string
 
 val is_register : t -> bool
 
-val has_objects : History.t -> bool
-(** Does any location of the history carry a non-register sort? *)
-
 (** {1 Sequential replay}
 
     The incremental object-state machine shared by the witness search
-    ({!Obj_causal}) and the certificate kernel: both replay a candidate
+    ({!View.exists_objects}) and the certificate kernel: both replay a candidate
     view one operation at a time and ask whether the next operation is
     a legal transition. *)
 
