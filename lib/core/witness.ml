@@ -5,8 +5,6 @@ type t = {
   notes : string list;
 }
 
-let shared ?(rf = []) seq ~notes = { views = [ (-1, seq) ]; rf; sync = None; notes }
-
 let per_proc ?(rf = []) ?sync views ~notes = { views; rf; sync; notes }
 
 let pp h ppf t =

@@ -28,9 +28,6 @@ type t = {
   notes : string list;  (** human-readable facts about the witness *)
 }
 
-val shared : ?rf:(int * int) list -> int list -> notes:string list -> t
-(** A single shared view (sequential consistency). *)
-
 val per_proc :
   ?rf:(int * int) list ->
   ?sync:int list ->
