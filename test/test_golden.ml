@@ -7,7 +7,12 @@
    search-work counters that model spent over the whole corpus (diffed
    against test/golden/witnesses.expected).  The second file pins what
    the verdict matrix cannot: which witness each search returns and how
-   many candidates it walked to get there.  After an intentional
+   many candidates it walked to get there.  With [lattice]: the
+   Figure-5 classification of the paper's five models over the standard
+   scopes (counts, pairwise relations with their first example
+   witnesses, Hasse edges) and its Graphviz rendering, diffed against
+   test/golden/lattice.expected together with the [smem lattice]
+   summary.  After an intentional
    change, regenerate with
 
      dune runtest --auto-promote
@@ -77,10 +82,39 @@ let witnesses () =
         s.Stats.toposorts)
     models
 
+let lattice () =
+  let module Classify = Smem_lattice.Classify in
+  let m =
+    Classify.classify_scopes ~models:Smem_core.Registry.comparable
+      Classify.standard_scopes
+  in
+  Format.printf "%a@." Classify.pp_summary m;
+  (* Every separation's first witness, not only the ones the summary
+     names: the classification must keep the enumeration-order first. *)
+  let keys = Array.of_list m.Classify.models in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j w ->
+          match w with
+          | None -> ()
+          | Some h ->
+              let module H = Smem_core.History in
+              Format.printf "%s not %s (%d): %s@." keys.(i).Model.key
+                keys.(j).Model.key m.Classify.only_in.(i).(j)
+                (String.concat " | "
+                   (List.init (H.nprocs h) (fun p ->
+                        Format.asprintf "%a" (H.pp_ops h)
+                          (Array.to_list (H.proc_ops h p))))))
+        row)
+    m.Classify.witness;
+  print_string (Classify.to_dot m)
+
 let () =
   match Sys.argv with
   | [| _ |] -> verdicts ()
   | [| _; "witnesses" |] -> witnesses ()
+  | [| _; "lattice" |] -> lattice ()
   | _ ->
-      prerr_endline "usage: test_golden.exe [witnesses]";
+      prerr_endline "usage: test_golden.exe [witnesses|lattice]";
       exit 2
