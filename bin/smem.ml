@@ -557,36 +557,52 @@ let lattice_cmd =
   let run dot jobs obs engine =
     setup_obs obs;
     setup_engine engine;
-    if dot then
-      (* Graphviz needs the full matrix (witness histories included),
-         so the dot path stays on the library API. *)
-      print_string
-        (Smem_lattice.Classify.to_dot
-           (Smem_lattice.Classify.classify_scopes ~jobs:(resolve_jobs jobs)
-              ~models:Registry.comparable
-              Smem_lattice.Classify.standard_scopes))
-    else
-      let service = make_service ~jobs:(resolve_jobs jobs) 0 in
-      let resp =
-        Service.handle service (Request.Classify { models = []; scopes = [] })
-      in
-      match (die_on_error resp).Response.payload with
-      | Response.Classification { total; allowed; relations; hasse } ->
-          Format.printf "%d histories enumerated@." total;
-          List.iter
-            (fun (key, count) -> Format.printf "  %-12s allows %d@." key count)
-            allowed;
-          Format.printf "pairwise relations:@.";
-          List.iter
-            (fun (a, b, rel) -> Format.printf "  %-12s %-12s %s@." a b rel)
-            (List.filter (fun (a, b, _) -> a < b) relations);
-          Format.printf "Hasse edges (stronger -> weaker):@.";
-          List.iter
-            (fun (s, w) -> Format.printf "  %s -> %s@." s w)
-            hasse
-      | _ ->
-          Format.eprintf "error: unexpected %s payload@." resp.Response.kind;
-          exit 2
+    let total =
+      if dot then begin
+        (* Graphviz needs the full matrix (witness histories included),
+           so the dot path stays on the library API. *)
+        let m =
+          Smem_lattice.Classify.classify_scopes ~jobs:(resolve_jobs jobs)
+            ~models:Registry.comparable Smem_lattice.Classify.standard_scopes
+        in
+        print_string (Smem_lattice.Classify.to_dot m);
+        m.Smem_lattice.Classify.total
+      end
+      else
+        let service = make_service ~jobs:(resolve_jobs jobs) 0 in
+        let resp =
+          Service.handle service
+            (Request.Classify { models = []; scopes = [] })
+        in
+        match (die_on_error resp).Response.payload with
+        | Response.Classification { total; allowed; relations; hasse } ->
+            Format.printf "%d histories enumerated@." total;
+            List.iter
+              (fun (key, count) ->
+                Format.printf "  %-12s allows %d@." key count)
+              allowed;
+            Format.printf "pairwise relations:@.";
+            List.iter
+              (fun (a, b, rel) -> Format.printf "  %-12s %-12s %s@." a b rel)
+              (List.filter (fun (a, b, _) -> a < b) relations);
+            Format.printf "Hasse edges (stronger -> weaker):@.";
+            List.iter (fun (s, w) -> Format.printf "  %s -> %s@." s w) hasse;
+            total
+        | _ ->
+            Format.eprintf "error: unexpected %s payload@." resp.Response.kind;
+            exit 2
+    in
+    if obs.stats then
+      (* Printed ahead of the search statistics, whose "checks run"
+         counts one check per canonical class, not per history. *)
+      Format.printf
+        "@.lattice classification:@.\
+        \  histories enumerated       %d@.\
+        \  canonical classes checked  %d@.\
+        \  (each model checks a class once: \"checks run\" below counts \
+         classes, not histories)@."
+        total
+        (Option.value ~default:0 (Smem_obs.Metrics.find "lattice.classes"))
   in
   Cmd.v
     (Cmd.info "lattice"

@@ -41,8 +41,8 @@ let closure m =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Ordering-requirement building blocks (the definitions of lib/core's
-   Orders/Rc/Weak_ordering, re-stated from the paper)                  *)
+(* Ordering-requirement building blocks (the paper's definitions,
+   re-stated here rather than shared with lib/core's search)           *)
 
 let add_po_of_proc h m p =
   let row = History.proc_ops h p in

@@ -115,7 +115,8 @@ let witness ~operations ~mutual ~orderings h =
           let dyn = dyn_rel ~rf ~co:None in
           let rec go p acc =
             if p = nprocs then begin
-              found := Some (Witness.per_proc (List.rev acc) ~notes:[]);
+              found :=
+                Some (Witness.per_proc (List.rev acc) ~notes:(fun () -> []));
               true
             end
             else
@@ -176,7 +177,11 @@ let make ~key ~name ?description ~operations ~mutual ~orderings () =
                 orderings))
   in
   Model.make ~key ~name ~description
-    (Model.Custom (witness ~operations ~mutual ~orderings))
+    (Model.Custom
+       {
+         witness = witness ~operations ~mutual ~orderings;
+         renaming_invariant = true;
+       })
 
 let parse_operations = function
   | "all" -> Ok `All_ops

@@ -175,4 +175,30 @@ let canonicalize h =
 
 let digest h = Digest.to_hex (Digest.string (encode h))
 
+(* The history exactly as written: rows in their order, location names
+   (length-prefixed, so any name is unambiguous) with their interned
+   identifiers, and values verbatim.  The leading tag keeps it apart
+   from every canonical encoding, which starts with a row separator. *)
+let literal_digest h =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "literal";
+  for p = 0 to History.nprocs h - 1 do
+    Buffer.add_char buf '|';
+    Array.iter
+      (fun id ->
+        let op = History.op h id in
+        let name = History.loc_name h op.Op.loc in
+        Buffer.add_char buf
+          (match op.Op.kind with Op.Read -> 'r' | Op.Write -> 'w');
+        if Op.is_labeled op then Buffer.add_char buf '*';
+        Printf.bprintf buf "%d:%s#%d=%d" (String.length name) name op.Op.loc
+          op.Op.value;
+        (match History.interval h id with
+        | None -> ()
+        | Some (s, f) -> Printf.bprintf buf "@%d:%d" s f);
+        Buffer.add_char buf ';')
+      (History.proc_ops h p)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 let equivalent a b = String.equal (encode a) (encode b)

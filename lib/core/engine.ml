@@ -49,8 +49,8 @@ let check ?rf_rel h ~rf ~co ~extra ~views =
         let seq = List.filter (Bitset.mem spec.ops) order in
         Some (spec.proc, seq)
   in
-  (* Notes are only rendered on success: formatting them eagerly made
-     every failing candidate pay two asprintf calls in the hot loop. *)
+  (* Rendered only when read, so a membership check never formats
+     them. *)
   let notes () =
     let rf_note = Format.asprintf "reads-from: %a" (Reads_from.pp h) rf in
     let co_note = Format.asprintf "%a" (Coherence.pp h) co in
@@ -60,7 +60,7 @@ let check ?rf_rel h ~rf ~co ~extra ~views =
     | [] ->
         Some
           (Witness.per_proc ~rf:(Reads_from.pairs h rf) (List.rev acc)
-             ~notes:(notes ()))
+             ~notes)
     | spec :: rest -> (
         match solve_view spec with
         | None -> None

@@ -1,19 +1,33 @@
 include Params
 
-type semantics = Derived of params | Custom of (History.t -> Witness.t option)
+type semantics =
+  | Derived of params
+  | Custom of {
+      witness : History.t -> Witness.t option;
+      renaming_invariant : bool;
+    }
 
 type t = {
   key : string;
   name : string;
   description : string;
   params : params option;
+  renaming_invariant : bool;
   witness : History.t -> Witness.t option;
 }
 
 let make ~key ~name ~description = function
   | Derived p ->
-      { key; name; description; params = Some p; witness = Spec.witness p }
-  | Custom witness -> { key; name; description; params = None; witness }
+      {
+        key;
+        name;
+        description;
+        params = Some p;
+        renaming_invariant = renaming_invariant p;
+        witness = Spec.witness p;
+      }
+  | Custom { witness; renaming_invariant } ->
+      { key; name; description; params = None; renaming_invariant; witness }
 
 type engine = Enum | Solve
 

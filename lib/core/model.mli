@@ -23,7 +23,14 @@ type semantics =
   | Derived of params
       (** the model is its parameter triple: the witness search is
           {!Spec.witness} of it, and certificates can be checked *)
-  | Custom of (History.t -> Witness.t option)
+  | Custom of {
+      witness : History.t -> Witness.t option;
+      renaming_invariant : bool;
+          (** whether the verdict survives {!Canon}'s renaming, stated
+              by the model's builder: true for the operational TSO
+              replay and {!Build} models, false for named-partition PC,
+              whose blocks read location names *)
+    }
       (** an operational or ad-hoc model (the operational TSO replay,
           composed {!Build} models, named-partition PC): its own
           witness function, no triple, no certificates *)
@@ -34,12 +41,17 @@ type t = private {
   description : string;
   params : params option;
       (** the triple of a [Derived] model, [None] for a [Custom] one *)
+  renaming_invariant : bool;
+      (** every history in one {!Canon} class gets the same verdict:
+          {!Params.renaming_invariant} of a [Derived] model's triple, as
+          stated by a [Custom] one.  Only then may a verdict be shared
+          across a class (the lattice memo, canonical cache keys). *)
   witness : History.t -> Witness.t option;
       (** the model's own witness search: {!Spec.witness} of [params]
           for a [Derived] model *)
 }
-(** Private: a model is built only through {!make}, so [params] and
-    [witness] can never disagree. *)
+(** Private: a model is built only through {!make}, so [params],
+    [renaming_invariant] and [witness] can never disagree. *)
 
 val make : key:string -> name:string -> description:string -> semantics -> t
 

@@ -74,6 +74,11 @@ let legality_to_string = function
   | Writer_legal -> "writer"
   | Object_legal -> "object"
 
+let renaming_invariant p =
+  match p.population with
+  | Per_proc_block { blocks } -> blocks < 2
+  | Shared_all | Own_plus_writes | Per_location | Own_plus_updates -> true
+
 let params_strings p =
   [
     ("population", population_to_string p.population);

@@ -89,6 +89,14 @@ type params = {
   legality : legality;
 }
 
+val renaming_invariant : params -> bool
+(** Whether the model's verdict is invariant under {!Canon}'s renaming
+    (processor permutation, location renaming, per-location value
+    bijections fixing [0]).  Every triple is, except a
+    {!Per_proc_block} population with two or more blocks: its blocks
+    are location identifiers modulo [blocks], and renaming locations
+    moves them between blocks. *)
+
 (** {1 Parameter rendering}
 
     Stable human-and-machine-readable names for the parameter

@@ -158,7 +158,9 @@ let pc_part ~blocks =
 (* The explicit partition by location name is not expressible as a
    triple (its block function reads location names), so it is a custom
    model: the same per-processor-block search with its own blocks.
-   Unlisted locations get singleton blocks of their own. *)
+   Unlisted locations get singleton blocks of their own.  Reading names
+   makes the verdict depend on them: renaming the locations of a test
+   can change it. *)
 let pc_part_named partition =
   let spelled = String.concat "|" (List.map (String.concat ".") partition) in
   let named = List.length partition in
@@ -181,7 +183,11 @@ let pc_part_named partition =
           the pure parameter triple, so these instances cannot emit \
           certificates."
          spelled)
-    (Custom (Spec.witness ~partition:blocks (pc_part_params named)))
+    (Custom
+       {
+         witness = Spec.witness ~partition:blocks (pc_part_params named);
+         renaming_invariant = false;
+       })
 
 (* Session guarantees (Terry et al.): per-processor views ordered only
    by the enabled guarantees.  Writes-follow-reads quantifies over a

@@ -389,38 +389,47 @@ let with_co s c co =
           else Some { c with dyn = Some order; whole = true })
   | _ -> Some c
 
-(* The witness's notes, ahead of any the acyclicity engine adds. *)
+(* The witness's notes, ahead of any the acyclicity engine adds, as a
+   thunk rendered only when read.  The thunk captures immutable data
+   only: a global write order is copied, because the enumerator reuses
+   its permutation array. *)
 let notes s c co =
-  let h = s.h in
-  let seq_note fmt seq =
-    Format.asprintf fmt (History.pp_ops h) (Array.to_list seq)
-  in
-  let population =
-    match s.p.population with
-    | Per_location -> [ "one serialization per location" ]
-    | Per_proc_block _ -> [ "one view per processor per block" ]
-    | _ -> []
-  in
+  let h = s.h and p = s.p and sync = c.sync and rf = c.rf in
   let write_order =
-    match co with Global w -> [ seq_note "write order: %a" w ] | _ -> []
+    match co with Global w -> Some (Array.copy w) | No_co | Per_loc _ -> None
   in
-  let sync =
-    match (c.sync, s.p.mutual) with
-    | Some seq, Labeled_total -> [ seq_note "synchronization order: %a" seq ]
-    | Some seq, _ -> [ seq_note "labeled order: %a" seq ]
-    | None, _ -> []
-  in
-  let legality =
-    match (s.p.legality, s.p.ordering, c.rf) with
-    | Object_legal, _, _ ->
-        [ "views replay queues FIFO and counters by count" ]
-    | Value_legal, Causal_order, Some rf ->
-        [ Format.asprintf "writes-before: %a" (Reads_from.pp h) rf ]
-    | _, Session { wfr = true; _ }, _ ->
-        [ "session guarantees incl. writes-follow-reads" ]
-    | _ -> []
-  in
-  population @ write_order @ sync @ legality
+  fun () ->
+    let seq_note fmt seq =
+      Format.asprintf fmt (History.pp_ops h) (Array.to_list seq)
+    in
+    let population =
+      match p.population with
+      | Per_location -> [ "one serialization per location" ]
+      | Per_proc_block _ -> [ "one view per processor per block" ]
+      | _ -> []
+    in
+    let write_order =
+      match write_order with
+      | Some w -> [ seq_note "write order: %a" w ]
+      | None -> []
+    in
+    let sync =
+      match (sync, p.mutual) with
+      | Some seq, Labeled_total -> [ seq_note "synchronization order: %a" seq ]
+      | Some seq, _ -> [ seq_note "labeled order: %a" seq ]
+      | None, _ -> []
+    in
+    let legality =
+      match (p.legality, p.ordering, rf) with
+      | Object_legal, _, _ ->
+          [ "views replay queues FIFO and counters by count" ]
+      | Value_legal, Causal_order, Some rf ->
+          [ Format.asprintf "writes-before: %a" (Reads_from.pp h) rf ]
+      | _, Session { wfr = true; _ }, _ ->
+          [ "session guarantees incl. writes-follow-reads" ]
+      | _ -> []
+    in
+    population @ write_order @ sync @ legality
 
 (* The leaf for independent views: one legal linear extension of each
    view's order, searched per view. *)
@@ -485,7 +494,9 @@ let decide s c co =
               {
                 w with
                 Witness.sync = Option.map Array.to_list c.sync;
-                notes = notes s c co @ w.Witness.notes;
+                notes =
+                  (let spec = notes s c co in
+                   fun () -> spec () @ w.Witness.notes ());
               }
       else
         let c =

@@ -87,7 +87,13 @@ let model =
        buffers over a single-ported memory (cross-validates the \
        view-based TSO characterization)."
     (Model.Custom
-       (fun h ->
-         if check h then
-           Some (Witness.per_proc [] ~notes:[ "accepted by store-buffer replay" ])
-         else None))
+       {
+         witness =
+           (fun h ->
+             if check h then
+               Some
+                 (Witness.per_proc [] ~notes:(fun () ->
+                      [ "accepted by store-buffer replay" ]))
+             else None);
+         renaming_invariant = true;
+       })

@@ -25,14 +25,17 @@ type t = {
       (** the total order on labeled operations (RC_sc, weak ordering);
           it cannot be recovered from the views because other
           processors' labeled reads appear in no view. *)
-  notes : string list;  (** human-readable facts about the witness *)
+  notes : unit -> string list;
+      (** human-readable facts about the witness, rendered on each call:
+          a membership check never pays for the formatting, and a pure
+          thunk is safe to call from any domain *)
 }
 
 val per_proc :
   ?rf:(int * int) list ->
   ?sync:int list ->
   (int * int list) list ->
-  notes:string list ->
+  notes:(unit -> string list) ->
   t
 
 val pp : History.t -> Format.formatter -> t -> unit

@@ -11,16 +11,66 @@ type matrix = {
   witness : H.t option array array;
 }
 
-let classify_part ~models config ~parts ~part =
+(* Verdicts on each canonical class, shared by the parts of one
+   [classify] call: the raw MD5 of the class's canonical encoding
+   maps to a bitmask of the memoized models that allow it.  Parts run
+   on several domains, so the table is locked; two parts racing on a
+   new class both run the same pure checks and store the same mask. *)
+type memo = { table : (string, int) Hashtbl.t; lock : Mutex.t }
+
+let classes = Smem_obs.Metrics.counter "lattice.classes"
+
+let memo_find memo key =
+  Mutex.protect memo.lock (fun () -> Hashtbl.find_opt memo.table key)
+
+let memo_add memo key mask =
+  Mutex.protect memo.lock (fun () ->
+      if not (Hashtbl.mem memo.table key) then begin
+        Hashtbl.add memo.table key mask;
+        Smem_obs.Metrics.incr classes
+      end)
+
+let classify_part ~memo ~models config ~parts ~part =
   let models_arr = Array.of_list models in
   let n = Array.length models_arr in
+  (* Only models whose verdict survives Canon's renaming share a
+     class's verdict, and only as many as an int mask holds; the rest
+     are checked on every history. *)
+  let memoized =
+    Array.mapi
+      (fun i (m : Model.t) -> m.Model.renaming_invariant && i < Sys.int_size)
+      models_arr
+  in
+  let any_memoized = Array.exists Fun.id memoized in
   let total = ref 0 in
   let allowed_counts = Array.make n 0 in
   let only_in = Array.make_matrix n n 0 in
   let witness = Array.init n (fun _ -> Array.make n None) in
+  let allowed = Array.make n false in
   Enumerate.iter ~parts ~part config ~f:(fun h ->
       incr total;
-      let allowed = Array.map (fun m -> Model.check m h) models_arr in
+      let mask =
+        if not any_memoized then 0
+        else
+          let key = Digest.string (Smem_core.Canon.encode h) in
+          match memo_find memo key with
+          | Some mask -> mask
+          | None ->
+              let mask = ref 0 in
+              Array.iteri
+                (fun i m ->
+                  if memoized.(i) && Model.check m h then
+                    mask := !mask lor (1 lsl i))
+                models_arr;
+              memo_add memo key !mask;
+              !mask
+      in
+      Array.iteri
+        (fun i m ->
+          allowed.(i) <-
+            (if memoized.(i) then mask land (1 lsl i) <> 0
+             else Model.check m h))
+        models_arr;
       for i = 0 to n - 1 do
         if allowed.(i) then begin
           allowed_counts.(i) <- allowed_counts.(i) + 1;
@@ -58,10 +108,12 @@ let classify ?(jobs = 1) ~models config =
      choice, independent of [jobs] — and merge in part order.  The
      partition is fixed so the result (counts {e and} example
      witnesses) is identical for every [jobs], including the serial
-     run. *)
+     run.  The memo only saves checks: whichever part first meets a
+     class, every history still counts on its own. *)
   let parts = max 1 (Enumerate.nchoices config) in
+  let memo = { table = Hashtbl.create 1024; lock = Mutex.create () } in
   Smem_parallel.Pool.map ~jobs
-    (fun part -> classify_part ~models config ~parts ~part)
+    (fun part -> classify_part ~memo ~models config ~parts ~part)
     (List.init parts Fun.id)
   |> function
   | [] -> assert false

@@ -17,11 +17,17 @@ type t = { cache : Cache.t option; jobs : int; clock : unit -> int }
 let create ?cache ?(jobs = 1) ?(clock = Clock.now) () = { cache; jobs; clock }
 let cache t = t.cache
 
+(* A verdict is cached under the history's canonical digest only when
+   the model cannot tell the members of a canonical class apart;
+   otherwise under the history as written. *)
 let check_model t model h =
   match t.cache with
   | None -> (Model.check model h, false)
   | Some c ->
-      let digest = Canon.digest h in
+      let digest =
+        if model.Model.renaming_invariant then Canon.digest h
+        else Canon.literal_digest h
+      in
       Cache.find_or_add c ~digest ~model:model.Model.key (fun () ->
           Model.check model h)
 

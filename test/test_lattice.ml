@@ -176,6 +176,64 @@ let distinguish_verdicts () =
   | Smem_lattice.Distinguish.Equal -> ()
   | _ -> Alcotest.fail "single-op histories cannot separate SC from PRAM"
 
+(* The memoized classification (one check per canonical class for the
+   renaming-invariant models) equals a direct check of every history
+   against every model: counts, separations and first witnesses.  The
+   model list includes the two partition-consistency variants, which
+   can tell members of a class apart and so must be checked on every
+   history.  In this scope the named partition separates 108 histories
+   from their class's first member; pc-part(blocks=2) separates none
+   (members of a class here never differ by a row swap), so its
+   counterexample is checked by hand below. *)
+let memo_matches_direct () =
+  let models =
+    List.map model
+      [ "sc"; "pc"; "pram"; "pc-part(blocks=2)"; "pc-part(partition=x.y)" ]
+  in
+  let c = { Enumerate.procs = [ 3; 2 ]; nlocs = 3; max_value = 1; labeled = false } in
+  let memo = Classify.classify ~jobs:2 ~models c in
+  let n = List.length models in
+  let total = ref 0 in
+  let allowed_counts = Array.make n 0 in
+  let only_in = Array.make_matrix n n 0 in
+  let witness = Array.make_matrix n n None in
+  Enumerate.iter c ~f:(fun h ->
+      incr total;
+      let allowed = List.map (fun m -> Model.check m h) models in
+      List.iteri
+        (fun i ai ->
+          if ai then begin
+            allowed_counts.(i) <- allowed_counts.(i) + 1;
+            List.iteri
+              (fun j aj ->
+                if not aj then begin
+                  only_in.(i).(j) <- only_in.(i).(j) + 1;
+                  if witness.(i).(j) = None then witness.(i).(j) <- Some h
+                end)
+              allowed
+          end)
+        allowed);
+  let spell = Option.map Smem_core.Canon.literal_digest in
+  check Alcotest.int "total" !total memo.Classify.total;
+  check Alcotest.(array int) "allowed" allowed_counts memo.Classify.allowed_counts;
+  check Alcotest.(array (array int)) "only_in" only_in memo.Classify.only_in;
+  check
+    Alcotest.(array (array (option string)))
+    "first witnesses"
+    (Array.map (Array.map spell) witness)
+    (Array.map (Array.map spell) memo.Classify.witness);
+  (* pc-part(blocks=2) really does separate members of one class: this
+     pair is one row swap apart, with opposite verdicts. *)
+  let h rows = Smem_core.History.make rows in
+  let w = Smem_core.History.write and r = Smem_core.History.read in
+  let a = h [ [ w "x" 1; w "y" 1; w "z" 1 ]; [ r "z" 1; r "x" 0 ] ] in
+  let b = h [ [ r "z" 1; r "x" 0 ]; [ w "x" 1; w "y" 1; w "z" 1 ] ] in
+  let pc_part = model "pc-part(blocks=2)" in
+  check Alcotest.bool "one canonical class" true
+    (Smem_core.Canon.equivalent a b);
+  check Alcotest.(pair bool bool) "opposite verdicts" (false, true)
+    (Model.check pc_part a, Model.check pc_part b)
+
 let () =
   Alcotest.run "lattice"
     [
@@ -183,6 +241,11 @@ let () =
         [ tc "counts" enumerate_counts; tc "shapes" enumerate_shapes ] );
       ("figure 5", [ tc "relations, edges and witnesses" figure5 ]);
       ("extended family", [ tc "known containments hold in scope" extended_family ]);
-      ("classify", [ tc "merge" merge_is_sane; tc "dot" dot_output ]);
+      ( "classify",
+        [
+          tc "merge" merge_is_sane;
+          tc "dot" dot_output;
+          tc "memoized = direct" memo_matches_direct;
+        ] );
       ("distinguish", [ tc "verdicts and witnesses" distinguish_verdicts ]);
     ]

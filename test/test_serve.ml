@@ -202,6 +202,55 @@ let service_renaming_hits =
       let v2, cached = Service.check_model service sc renamed in
       v1 = v2 && cached)
 
+(* Partition consistency with two or more blocks, or a named partition,
+   can tell apart histories that differ only by a row swap or by
+   location names, so their verdicts are cached under the history as
+   written.  Under the canonical digest the first of each pair to
+   arrive set the cached answer for the other.  Each pair is sent in
+   both orders to one cached service; every verdict must equal the
+   uncached one, and the pair's members must disagree. *)
+let location_sensitive_pairs =
+  [
+    ( "pc-part(blocks=2)",
+      "p0: w x 1 ; w y 1 ; w z 1\np1: r z 1 ; r x 0\n",
+      "p0: r z 1 ; r x 0\np1: w x 1 ; w y 1 ; w z 1\n" );
+    ( "pc-part(partition=x.y)",
+      "p0: w x 1 ; w y 1\np1: r y 1 ; r x 0\n",
+      "p0: w a 1 ; w b 1\np1: r b 1 ; r a 0\n" );
+  ]
+
+let service_location_sensitive_keys () =
+  let status service model rows =
+    let req =
+      Request.Check
+        { test = Request.Inline ("test t \"t\"\n" ^ rows); models = [ model ] }
+    in
+    match (Service.handle service req).Response.payload with
+    | Response.Verdicts [ v ] -> v.Verdict.status
+    | _ -> Alcotest.fail "check did not answer with one verdict"
+  in
+  List.iter
+    (fun (model, a, b) ->
+      let fresh = Service.create () in
+      let fa = status fresh model a and fb = status fresh model b in
+      check Alcotest.bool (model ^ ": the pair disagrees") true (fa <> fb);
+      List.iter
+        (fun order ->
+          let service =
+            Service.create ~cache:(Cache.create ~capacity:64 ()) ()
+          in
+          for _ = 1 to 2 do
+            List.iter
+              (fun (rows, want) ->
+                check Alcotest.bool
+                  (model ^ ": cached verdict equals fresh")
+                  true
+                  (status service model rows = want))
+              order
+          done)
+        [ [ (a, fa); (b, fb) ]; [ (b, fb); (a, fa) ] ])
+    location_sensitive_pairs
+
 (* ---------------- service: corpus twice ---------------- *)
 
 let corpus_twice () =
@@ -835,6 +884,8 @@ let () =
         ] );
       ( "service",
         tc "corpus twice: warm pass cached, verdicts stable" corpus_twice
+        :: tc "location-sensitive models keyed as written"
+             service_location_sensitive_keys
         :: tc "structured errors" service_errors
         :: tc "models request answers the catalogue" service_models_catalogue
         :: tc "view-search boundary answers Too_large"
