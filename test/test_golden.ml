@@ -12,7 +12,13 @@
    scopes (counts, pairwise relations with their first example
    witnesses, Hasse edges) and its Graphviz rendering, diffed against
    test/golden/lattice.expected together with the [smem lattice]
-   summary.  After an intentional
+   summary.  With [explore]: for each classic program on each
+   operational machine, the DPOR mutex verdict with every reduction
+   counter, the naive verdict and transition count, the
+   deadlock-freedom verdict, one seeded
+   random run, and for the loop-free shapes the reduced and naive
+   trace-enumeration counts; then the SC race verdict per program
+   (diffed against test/golden/explore.expected).  After an intentional
    change, regenerate with
 
      dune runtest --auto-promote
@@ -110,11 +116,87 @@ let lattice () =
     m.Classify.witness;
   print_string (Classify.to_dot m)
 
+module Lang = Smem_lang
+module Machines = Smem_machine.Machines
+
+let md5 s = String.sub (Digest.to_hex (Digest.string s)) 0 12
+
+let pp_verdict ppf = function
+  | Lang.Explore.Safe n -> Format.fprintf ppf "safe %d" n
+  | Lang.Explore.Violation trace ->
+      Format.fprintf ppf "violation %d steps %s" (List.length trace)
+        (md5 (String.concat "\n" trace))
+  | Lang.Explore.State_limit -> Format.fprintf ppf "state-limit"
+
+let history_line h =
+  let module H = Smem_core.History in
+  String.concat " | "
+    (List.init (H.nprocs h) (fun p ->
+         Format.asprintf "%a" (H.pp_ops h) (Array.to_list (H.proc_ops h p))))
+
+let explore () =
+  let loop_free = [ "mp"; "sb" ] in
+  let programs =
+    [
+      ("bakery2", Lang.Programs.bakery ~n:2 ());
+      ("peterson", Lang.Programs.peterson ());
+      ("dekker", Lang.Programs.dekker ());
+      ("mp", Lang.Programs.mp ());
+      ("sb", Lang.Programs.sb ());
+      ("spinlock", Lang.Programs.tas_spinlock ());
+    ]
+  in
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun m ->
+          let key = Machines.name m in
+          let cell = Printf.sprintf "%-9s %-7s" name key in
+          let v, s = Lang.Explore.check_mutex_stats m p in
+          Format.printf "%s dpor %a | %a@." cell pp_verdict v Lang.Dpor.pp_stats s;
+          let v, tr = Lang.Explore.check_mutex_naive m p in
+          Format.printf "%s naive %a transitions=%d@." cell pp_verdict v tr;
+          Format.printf "%s deadlock %s@." cell
+            (match Lang.Explore.check_deadlock_freedom m p with
+            | Lang.Explore.Deadlock_free n -> Printf.sprintf "free %d" n
+            | Lang.Explore.Stuck n -> Printf.sprintf "stuck %d" n
+            | Lang.Explore.Liveness_state_limit -> "state-limit");
+          let rand = Random.State.make [| 7 |] in
+          let h, violated = Lang.Explore.run_random ~max_steps:2_000 m p ~rand in
+          let line = history_line h in
+          Format.printf "%s random ops=%d violated=%b %s@." cell
+            (Smem_core.History.nops h) violated
+            (if List.mem name loop_free then line else md5 line);
+          if List.mem name loop_free then
+            List.iter
+              (fun reduced ->
+                match
+                  Lang.Dpor.fold_traces ~reduced m p ~init:[] ~f:(fun acc (h, _) ->
+                      Smem_core.Canon.digest h :: acc)
+                with
+                | Ok l ->
+                    Format.printf "%s traces %s runs=%d histories=%d@." cell
+                      (if reduced then "reduced" else "naive")
+                      (List.length l)
+                      (List.length (List.sort_uniq compare l))
+                | Error e -> Format.printf "%s traces error %s@." cell e)
+              [ true; false ])
+        Machines.all;
+      Format.printf "%-9s races %s@." name
+        (match Lang.Races.find_race p with
+        | Lang.Races.Race_free n -> Printf.sprintf "free %d" n
+        | Lang.Races.Race (a, b) ->
+            Format.asprintf "race %a / %a" Lang.Races.pp_access a
+              Lang.Races.pp_access b
+        | Lang.Races.State_limit -> "state-limit"))
+    programs
+
 let () =
   match Sys.argv with
   | [| _ |] -> verdicts ()
   | [| _; "witnesses" |] -> witnesses ()
   | [| _; "lattice" |] -> lattice ()
+  | [| _; "explore" |] -> explore ()
   | _ ->
-      prerr_endline "usage: test_golden.exe [witnesses|lattice]";
+      prerr_endline "usage: test_golden.exe [witnesses|lattice|explore]";
       exit 2
