@@ -28,9 +28,6 @@
     and the internal process is approximated through
     {!Smem_machine.Machine_sig.MACHINE.internal_locs}. *)
 
-module H = Smem_core.History
-module Op = Smem_core.Op
-
 type verdict = Safe of int | Violation of string list | State_limit
 
 type stats = {
@@ -51,27 +48,6 @@ let pp_stats ppf s =
      covering-skips=%d proviso-fallbacks=%d env-deferrals=%d enter-prunes=%d"
     s.states s.transitions s.ample_hits s.full_expansions s.sleep_skips
     s.covering_skips s.proviso_fallbacks s.env_deferrals s.enter_prunes
-
-type thread = { env : Exec.Env.t; cont : Ast.stmt list; in_cs : bool; finished : bool }
-
-let initial_threads program =
-  Array.map
-    (fun code -> { env = Exec.Env.empty; cont = code; in_cs = false; finished = false })
-    program.Ast.threads
-
-(* Kept in sync with Explore.describe_action (Explore depends on this
-   module, so the copy lives here). *)
-let describe_action thread_id = function
-  | Exec.A_load { reg; loc; labeled } ->
-      Printf.sprintf "t%d: %s <- load loc%d%s" thread_id reg loc
-        (if labeled then " (labeled)" else "")
-  | Exec.A_store { loc; value; labeled } ->
-      Printf.sprintf "t%d: store loc%d := %d%s" thread_id loc value
-        (if labeled then " (labeled)" else "")
-  | Exec.A_tas { reg; loc } ->
-      Printf.sprintf "t%d: %s <- test-and-set loc%d" thread_id reg loc
-  | Exec.A_enter -> Printf.sprintf "t%d: enter critical section" thread_id
-  | Exec.A_exit -> Printf.sprintf "t%d: exit critical section" thread_id
 
 (* ------------------------------------------------------------------ *)
 (* Dependence                                                          *)
@@ -212,35 +188,18 @@ let footprint_fn layout shared_decls nlocs =
 (* Shared DFS plumbing                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type next =
-  | N_fin of Exec.Env.t  (* the thread's next transition is to finish *)
-  | N_act of Exec.action * Exec.Env.t * Ast.stmt list
-
-exception Found of string list
-exception Fuel_out
-
-let next_of layout ~fuel (t : thread) =
-  match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
-  | Exec.Out_of_fuel -> raise Fuel_out
-  | Exec.Finished env -> N_fin env
-  | Exec.At_action (action, env, cont) -> N_act (action, env, cont)
-
-let act_of_next proc = function
-  | N_fin _ -> Fin
-  | N_act (action, _, _) -> (
-      match Races.access_of_action proc action with
-      | Some a -> Access a
-      | None -> Marker)
+(* The dependence abstraction of every thread's next transition. *)
+let acts_of nexts =
+  Array.mapi
+    (fun i -> function
+      | None | Some (Step.Finish _) -> Fin
+      | Some (Step.Act (action, _, _)) -> (
+          match Races.access_of_action i action with
+          | Some a -> Access a
+          | None -> Marker))
+    nexts
 
 let rec lowest_bit m i = if m land (1 lsl i) <> 0 then i else lowest_bit m (i + 1)
-
-(* Visited-state keys are MD5 digests of the marshaled state.  Hashing
-   the structure directly degenerates badly: [Hashtbl.hash] only looks
-   at a bounded prefix of a value, so the deep (machine, threads) tuples
-   of the channel machines collide en masse and bucket scans fall back
-   to full structural equality — quadratic overall.  Digest keys make
-   both hashing and equality O(state size). *)
-let digest_key v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])
 
 (* Drop from a sleep mask every thread whose pending action is
    dependent with [taken] (it must be re-explored after the swap). *)
@@ -274,8 +233,9 @@ let check_mutex_stats ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
   let env_deferrals = ref 0 in
   let enter_prunes = ref 0 in
   let limit = ref false in
+  (* a state is keyed by the machine and each thread's (env, cont, in_cs) *)
   let key_of machine threads =
-    digest_key (machine, Array.map (fun t -> (t.env, t.cont, t.in_cs)) threads)
+    Step.digest machine threads (fun (t : Step.thread) -> (t.env, t.cont, t.in_cs))
   in
   (* [prefer] rotates the DFS child order: the first thread tried at a
      state is the successor of the thread that just moved, so the first
@@ -307,31 +267,23 @@ let check_mutex_stats ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
         masks := sleep :: !masks;
         incr states;
         if !states > max_states || !transitions > max_transitions then limit := true
-        else if Array.for_all (fun t -> t.finished) threads then
+        else if Array.for_all (fun (t : Step.thread) -> t.finished) threads then
           (* Verdict cutoff: no thread can enter a critical section any
              more, so the remaining message-drain lattice is irrelevant
              to mutual exclusion. *)
           ()
         else begin
-          match
-            Array.map
-              (fun t -> if t.finished then None else Some (next_of layout ~fuel t))
-              threads
-          with
-          | exception Fuel_out -> limit := true
-          | nexts ->
-              let acts =
-                Array.mapi
-                  (fun i -> function None -> Fin | Some n -> act_of_next i n)
-                  nexts
-              in
+          match Step.nexts layout ~fuel threads with
+          | None -> limit := true
+          | Some nexts ->
+              let acts = acts_of nexts in
               let fset = M.internal_locs machine in
               let fps =
                 Array.mapi
-                  (fun i (t : thread) ->
+                  (fun i (t : Step.thread) ->
                     match nexts.(i) with
-                    | None | Some (N_fin _) -> fp_empty nlocs
-                    | Some (N_act _) -> footprint t.cont)
+                    | None | Some (Step.Finish _) -> fp_empty nlocs
+                    | Some (Step.Act _) -> footprint t.cont)
                   threads
               in
               if not (Array.exists (fun fp -> fp.f_enter) fps) then
@@ -344,33 +296,6 @@ let check_mutex_stats ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
         end
       end
     end
-  and exec_thread machine threads path i = function
-    | N_fin env ->
-        let threads' = Array.copy threads in
-        threads'.(i) <- { (threads.(i)) with env; finished = true };
-        (machine, threads', path)
-    | N_act (action, env, cont) -> (
-        let t = threads.(i) in
-        let path' = describe_action i action :: path in
-        let with_thread machine' env' in_cs =
-          let threads' = Array.copy threads in
-          threads'.(i) <- { t with env = env'; cont; in_cs };
-          (machine', threads', path')
-        in
-        match action with
-        | Exec.A_load { reg; loc; labeled } ->
-            let v, machine' = M.read machine ~proc:i ~loc ~labeled in
-            with_thread machine' (Exec.Env.set env reg v) t.in_cs
-        | Exec.A_store { loc; value; labeled } ->
-            with_thread (M.write machine ~proc:i ~loc ~value ~labeled) env t.in_cs
-        | Exec.A_tas { reg; loc } ->
-            let old, machine' = M.test_and_set machine ~proc:i ~loc in
-            with_thread machine' (Exec.Env.set env reg old) t.in_cs
-        | Exec.A_enter ->
-            if Array.exists (fun (u : thread) -> u.in_cs) threads then
-              raise (Found (List.rev path'));
-            with_thread machine env true
-        | Exec.A_exit -> with_thread machine env false)
   and expand machine threads path sleep prefer key nexts acts fset fps =
     (* Ample side conditions.  [fbig] over-approximates the pending
        footprint at every future state of an execution in which the
@@ -378,7 +303,7 @@ let check_mutex_stats ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
        the other threads may still write. *)
     let others_any_write = Array.make nthreads false in
     Array.iteri
-      (fun i (t : thread) ->
+      (fun i (t : Step.thread) ->
         if (not t.finished) && fps.(i).f_any_write then
           for j = 0 to nthreads - 1 do
             if j <> i then others_any_write.(j) <- true
@@ -389,7 +314,7 @@ let check_mutex_stats ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
       if not M.synchronous then begin
         List.iter (fun l -> fbig.(l) <- true) fset;
         Array.iteri
-          (fun j (t : thread) ->
+          (fun j (t : Step.thread) ->
             if j <> i && not t.finished then
               Array.iteri
                 (fun l w -> if w then fbig.(l) <- true)
@@ -459,7 +384,9 @@ let check_mutex_stats ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
             | None -> ()
             | Some n ->
                 incr transitions;
-                let machine', threads', path' = exec_thread machine threads path i n in
+                let machine', threads', path' =
+                  Step.apply_traced (module M) machine threads path i n
+                in
                 let child_sleep =
                   filter_sleep !cur_sleep acts nthreads (fun aj ->
                       not (dep_act fset aj acts.(i)))
@@ -511,7 +438,9 @@ let check_mutex_stats ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
         in
         let n = Option.get nexts.(i) in
         incr transitions;
-        let machine', threads', path' = exec_thread machine threads path i n in
+        let machine', threads', path' =
+          Step.apply_traced (module M) machine threads path i n
+        in
         if Hashtbl.mem on_stack (key_of machine' threads') then begin
           (* Stack proviso: taking only this transition would close a
              cycle along which the other threads are ignored. *)
@@ -534,10 +463,10 @@ let check_mutex_stats ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
     try
       explore
         (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout))
-        (initial_threads program)
+        (Step.initial program)
         [] 0 0;
       if !limit then State_limit else Safe !states
-    with Found trace -> Violation trace
+    with Step.Mutex_violation trace -> Violation trace
   in
   ( verdict,
     {
@@ -592,48 +521,26 @@ let fold_traces ?(reduced = true) ?(max_transitions = 2_000_000) ?(fuel = 10_000
     let acc = ref init in
     let err = ref None in
     let fail msg = if !err = None then err := Some msg in
+    let loc_names = Ast.loc_names layout in
     let emit threads trace =
-      let next_index = Array.make nthreads 0 in
-      let ops =
-        List.rev trace
-        |> List.mapi (fun id (proc, kind, loc, value, labeled) ->
-               let index = next_index.(proc) in
-               next_index.(proc) <- index + 1;
-               {
-                 Op.id;
-                 proc;
-                 index;
-                 kind;
-                 loc;
-                 value;
-                 attr = (if labeled then Op.Labeled else Op.Ordinary);
-               })
-      in
       let history =
-        H.of_ops ~nprocs:nthreads ~loc_names:(Ast.loc_names layout) ops
+        Smem_machine.Driver.history_of_trace ~nprocs:nthreads ~loc_names
+          (List.rev trace)
       in
-      acc := f !acc (history, Array.map (fun (t : thread) -> t.env) threads)
+      acc := f !acc (history, Array.map (fun (t : Step.thread) -> t.env) threads)
     in
     let rec explore machine threads clocks entries trace sleep =
       if !err <> None then ()
       else begin
-        match
-          Array.map
-            (fun t -> if t.finished then None else Some (next_of layout ~fuel t))
-            threads
-        with
-        | exception Fuel_out -> fail "Dpor.fold_traces: thread ran out of local fuel"
-        | nexts ->
+        match Step.nexts layout ~fuel threads with
+        | None -> fail "Dpor.fold_traces: thread ran out of local fuel"
+        | Some nexts ->
             if Array.for_all (( = ) None) nexts then
               (* Every thread finished: the history is complete, and
                  draining the remaining internal work cannot change it. *)
               emit threads trace
             else begin
-              let acts =
-                Array.mapi
-                  (fun i -> function None -> Fin | Some n -> act_of_next i n)
-                  nexts
-              in
+              let acts = acts_of nexts in
               let fset = M.internal_locs machine in
               (* Race detection: for each runnable thread [p], every
                  earlier entry that is dependent with [p]'s next
@@ -728,13 +635,14 @@ let fold_traces ?(reduced = true) ?(max_transitions = 2_000_000) ?(fuel = 10_000
                   if !transitions > max_transitions then
                     fail "Dpor.fold_traces: transition budget exhausted"
                   else begin
-                    (match Option.get nexts.(p) with
-                    | N_fin env ->
-                        let threads' = Array.copy threads in
-                        threads'.(p) <- { (threads.(p)) with env; finished = true };
-                        explore machine threads' clocks entries trace !cur_sleep
-                    | N_act (action, env, cont) ->
-                        let t = threads.(p) in
+                    let tr = Option.get nexts.(p) in
+                    let machine', threads', event =
+                      Step.apply (module M) machine threads p tr
+                    in
+                    (match tr with
+                    | Step.Finish _ ->
+                        explore machine' threads' clocks entries trace !cur_sleep
+                    | Step.Act _ ->
                         let new_clock = Array.copy clocks.(p) in
                         List.iter
                           (fun e ->
@@ -762,44 +670,17 @@ let fold_traces ?(reduced = true) ?(max_transitions = 2_000_000) ?(fuel = 10_000
                             e_frame = frame;
                           }
                         in
-                        let entries' = e :: entries in
-                        let record kind loc value labeled =
-                          (p, kind, loc, value, labeled) :: trace
-                        in
                         let child_sleep =
                           if reduced then
                             filter_sleep !cur_sleep acts nthreads (fun aj ->
                                 not (dep_act fset aj acts.(p)))
                           else 0
                         in
-                        let continue_with machine' env' in_cs trace' =
-                          let threads' = Array.copy threads in
-                          threads'.(p) <- { t with env = env'; cont; in_cs };
-                          explore machine' threads' clocks' entries' trace'
-                            child_sleep
+                        let trace =
+                          match event with Some ev -> ev :: trace | None -> trace
                         in
-                        (match action with
-                        | Exec.A_load { reg; loc; labeled } ->
-                            let v, machine' = M.read machine ~proc:p ~loc ~labeled in
-                            continue_with machine'
-                              (Exec.Env.set env reg v)
-                              t.in_cs
-                              (record Op.Read loc v labeled)
-                        | Exec.A_store { loc; value; labeled } ->
-                            continue_with
-                              (M.write machine ~proc:p ~loc ~value ~labeled)
-                              env t.in_cs
-                              (record Op.Write loc value labeled)
-                        | Exec.A_tas { reg; loc } ->
-                            let old, machine' = M.test_and_set machine ~proc:p ~loc in
-                            (* recorded as the write it performs (paper
-                               footnote 4), mirroring Explore.run_random *)
-                            continue_with machine'
-                              (Exec.Env.set env reg old)
-                              t.in_cs
-                              (record Op.Write loc 1 true)
-                        | Exec.A_enter -> continue_with machine env true trace
-                        | Exec.A_exit -> continue_with machine env false trace));
+                        explore machine' threads' clocks' (e :: entries) trace
+                          child_sleep);
                     if reduced then cur_sleep := !cur_sleep lor (1 lsl p)
                   end
                 end
@@ -809,7 +690,7 @@ let fold_traces ?(reduced = true) ?(max_transitions = 2_000_000) ?(fuel = 10_000
     in
     explore
       (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout))
-      (initial_threads program)
+      (Step.initial program)
       (Array.init nthreads (fun _ -> Array.make nthreads 0))
       [] [] 0;
     match !err with None -> Ok !acc | Some msg -> Error msg

@@ -23,6 +23,7 @@
     {!Smem_machine.Machine_sig.MACHINE.write_depends_on_internal}. *)
 
 type verdict = Safe of int | Violation of string list | State_limit
+(** The mutual-exclusion verdict, shared with {!Explore.verdict}. *)
 
 type stats = {
   states : int;  (** distinct states expanded *)
@@ -42,14 +43,6 @@ type stats = {
 }
 
 val pp_stats : Format.formatter -> stats -> unit
-
-val digest_key : 'a -> Digest.t
-(** MD5 of the [Marshal] image of an immutable value: a constant-size
-    hash-table key for deep (machine × threads) states.  [Hashtbl.hash]
-    only samples a bounded prefix of the structure, so large buffered
-    machine states collide en masse and bucket scans turn quadratic;
-    digesting the whole value keeps lookups O(1).  Only sound for keys
-    compared structurally (no functions, no cycles). *)
 
 val check_mutex_stats :
   ?max_states:int ->

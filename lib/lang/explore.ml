@@ -1,34 +1,11 @@
-module H = Smem_core.History
-module Op = Smem_core.Op
-
-type verdict = Safe of int | Violation of string list | State_limit
-
-type thread = { env : Exec.Env.t; cont : Ast.stmt list; in_cs : bool; finished : bool }
-
-let initial_threads program =
-  Array.map
-    (fun code -> { env = Exec.Env.empty; cont = code; in_cs = false; finished = false })
-    program.Ast.threads
-
-let describe_action thread_id = function
-  | Exec.A_load { reg; loc; labeled } ->
-      Printf.sprintf "t%d: %s <- load loc%d%s" thread_id reg loc
-        (if labeled then " (labeled)" else "")
-  | Exec.A_store { loc; value; labeled } ->
-      Printf.sprintf "t%d: store loc%d := %d%s" thread_id loc value
-        (if labeled then " (labeled)" else "")
-  | Exec.A_tas { reg; loc } ->
-      Printf.sprintf "t%d: %s <- test-and-set loc%d" thread_id reg loc
-  | Exec.A_enter -> Printf.sprintf "t%d: enter critical section" thread_id
-  | Exec.A_exit -> Printf.sprintf "t%d: exit critical section" thread_id
-
-exception Found of string list
+type verdict = Dpor.verdict = Safe of int | Violation of string list | State_limit
 
 (* The unreduced explorer: every enabled transition of every reachable
-   state.  Kept as the differential oracle for the DPOR-backed
-   {!check_mutex} and for the pinned state/transition-count regression
-   tests; [max_transitions] bounds the work so that [State_limit]
-   accounts for explored transitions, not just distinct states. *)
+   state, keyed by the machine and each thread's (env, cont, in_cs).
+   Kept as the differential oracle for the DPOR-backed {!check_mutex}
+   and for the pinned state/transition-count regression tests;
+   [max_transitions] bounds the work so that [State_limit] accounts for
+   explored transitions, not just distinct states. *)
 let check_mutex_naive ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
     ?(fuel = 10_000) (module M : Smem_machine.Machine_sig.MACHINE) program =
   let layout = Ast.layout program in
@@ -40,10 +17,7 @@ let check_mutex_naive ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
   let rec explore machine threads path =
     incr transitions;
     let key =
-      (* Digest the deep state: [Hashtbl.hash] only samples a bounded
-         prefix of the structure, which degenerates into mass collisions
-         (and quadratic bucket scans) on big machine states. *)
-      Dpor.digest_key (machine, Array.map (fun t -> (t.env, t.cont, t.in_cs)) threads)
+      Step.digest machine threads (fun (t : Step.thread) -> (t.env, t.cont, t.in_cs))
     in
     if Hashtbl.mem visited key || !limit_hit then ()
     else begin
@@ -52,59 +26,23 @@ let check_mutex_naive ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
         limit_hit := true
       else begin
         Hashtbl.add visited key ();
-        let step_thread i =
-          let t = threads.(i) in
-          if t.finished then ()
-          else
-            match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
-            | Exec.Out_of_fuel ->
-                (* A thread exceeded its local computation budget: stop
-                   expanding this branch and report a bounded verdict
-                   instead of crashing the whole exploration. *)
-                limit_hit := true
-            | Exec.Finished env ->
-                let threads' = Array.copy threads in
-                threads'.(i) <- { t with env; finished = true };
-                explore machine threads' path
-            | Exec.At_action (action, env, cont) -> (
-                let path' = describe_action i action :: path in
-                match action with
-                | Exec.A_load { reg; loc; labeled } ->
-                    let v, machine' = M.read machine ~proc:i ~loc ~labeled in
-                    let threads' = Array.copy threads in
-                    threads'.(i) <- { t with env = Exec.Env.set env reg v; cont };
-                    explore machine' threads' path'
-                | Exec.A_store { loc; value; labeled } ->
-                    let machine' = M.write machine ~proc:i ~loc ~value ~labeled in
-                    let threads' = Array.copy threads in
-                    threads'.(i) <- { t with env; cont };
-                    explore machine' threads' path'
-                | Exec.A_tas { reg; loc } ->
-                    let old, machine' = M.test_and_set machine ~proc:i ~loc in
-                    let threads' = Array.copy threads in
-                    threads'.(i) <- { t with env = Exec.Env.set env reg old; cont };
-                    explore machine' threads' path'
-                | Exec.A_enter ->
-                    let others_in =
-                      Array.exists (fun (u : thread) -> u.in_cs) threads
+        match Step.nexts layout ~fuel threads with
+        | None ->
+            (* A thread exceeded its local computation budget: report a
+               bounded verdict instead of crashing the exploration. *)
+            limit_hit := true
+        | Some nexts ->
+            Array.iteri
+              (fun i ->
+                Option.iter (fun tr ->
+                    let machine', threads', path' =
+                      Step.apply_traced (module M) machine threads path i tr
                     in
-                    if others_in then raise (Found (List.rev path'))
-                    else begin
-                      let threads' = Array.copy threads in
-                      threads'.(i) <- { t with env; cont; in_cs = true };
-                      explore machine threads' path'
-                    end
-                | Exec.A_exit ->
-                    let threads' = Array.copy threads in
-                    threads'.(i) <- { t with env; cont; in_cs = false };
-                    explore machine threads' path')
-        in
-        for i = 0 to nthreads - 1 do
-          step_thread i
-        done;
-        List.iter
-          (fun machine' -> explore machine' threads (".: internal step" :: path))
-          (M.internal machine)
+                    explore machine' threads' path'))
+              nexts;
+            List.iter
+              (fun machine' -> explore machine' threads (".: internal step" :: path))
+              (M.internal machine)
       end
     end
   in
@@ -112,31 +50,19 @@ let check_mutex_naive ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
     try
       explore
         (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout))
-        (initial_threads program) [];
+        (Step.initial program) [];
       if !limit_hit then State_limit else Safe !states
-    with Found trace -> Violation trace
+    with Step.Mutex_violation trace -> Violation trace
   in
   (verdict, !transitions)
 
 (* The production checker is DPOR-backed (ample singletons + sleep sets
    + covering memoization, see {!Dpor}); the naive enumerator above
    stays as its differential oracle. *)
-let check_mutex ?max_states ?max_transitions ?fuel m program =
-  let verdict, _stats = Dpor.check_mutex_stats ?max_states ?max_transitions ?fuel m program in
-  match verdict with
-  | Dpor.Safe n -> Safe n
-  | Dpor.Violation trace -> Violation trace
-  | Dpor.State_limit -> State_limit
+let check_mutex_stats = Dpor.check_mutex_stats
 
-let check_mutex_stats ?max_states ?max_transitions ?fuel m program =
-  let verdict, stats = Dpor.check_mutex_stats ?max_states ?max_transitions ?fuel m program in
-  let verdict =
-    match verdict with
-    | Dpor.Safe n -> Safe n
-    | Dpor.Violation trace -> Violation trace
-    | Dpor.State_limit -> State_limit
-  in
-  (verdict, stats)
+let check_mutex ?max_states ?max_transitions ?fuel m program =
+  fst (check_mutex_stats ?max_states ?max_transitions ?fuel m program)
 
 type liveness = Deadlock_free of int | Stuck of int | Liveness_state_limit
 
@@ -145,10 +71,10 @@ let check_deadlock_freedom ?(max_states = 2_000_000) ?(fuel = 10_000)
   let layout = Ast.layout program in
   let nthreads = Array.length program.Ast.threads in
   (* Forward pass: build the reachable state graph.  A state is keyed by
-     the machine plus each thread's (env, cont, finished). *)
+     the machine plus each thread's (env, cont, finished): whether a
+     thread is inside its critical section is irrelevant to termination. *)
   let key_of machine threads =
-    Dpor.digest_key
-      (machine, Array.map (fun t -> (t.env, t.cont, t.finished)) threads)
+    Step.digest machine threads (fun (t : Step.thread) -> (t.env, t.cont, t.finished))
   in
   let successors = Hashtbl.create 65_537 in
   let terminal = Hashtbl.create 97 in
@@ -164,51 +90,25 @@ let check_deadlock_freedom ?(max_states = 2_000_000) ?(fuel = 10_000)
         explore m' t'
       in
       Hashtbl.add successors key [];
-      let step_thread i =
-        let t = threads.(i) in
-        if t.finished then ()
-        else
-          match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
-          | Exec.Out_of_fuel ->
-              (* Same graceful degradation as check_mutex: a fuel-bound
-                 branch makes the exploration bounded, not an error. *)
-              limit := true
-          | Exec.Finished env ->
-              let threads' = Array.copy threads in
-              threads'.(i) <- { t with env; finished = true };
-              push machine threads'
-          | Exec.At_action (action, env, cont) -> (
-              let with_thread env' = 
-                let threads' = Array.copy threads in
-                threads'.(i) <- { t with env = env'; cont };
-                threads'
-              in
-              match action with
-              | Exec.A_load { reg; loc; labeled } ->
-                  let v, m' = M.read machine ~proc:i ~loc ~labeled in
-                  push m' (with_thread (Exec.Env.set env reg v))
-              | Exec.A_store { loc; value; labeled } ->
-                  push (M.write machine ~proc:i ~loc ~value ~labeled) (with_thread env)
-              | Exec.A_tas { reg; loc } ->
-                  let old, m' = M.test_and_set machine ~proc:i ~loc in
-                  push m' (with_thread (Exec.Env.set env reg old))
-              | Exec.A_enter | Exec.A_exit ->
-                  (* CS markers do not touch memory; in_cs is irrelevant
-                     to termination, so leave it unchanged. *)
-                  push machine (with_thread env))
-      in
-      for i = 0 to nthreads - 1 do
-        step_thread i
-      done;
-      List.iter (fun m' -> push m' threads) (M.internal machine);
-      Hashtbl.replace successors key !succs;
-      if Array.for_all (fun t -> t.finished) threads then
-        Hashtbl.replace terminal key ()
+      match Step.nexts layout ~fuel threads with
+      | None ->
+          (* Same graceful degradation as check_mutex: a fuel-bound
+             branch makes the exploration bounded, not an error. *)
+          limit := true
+      | Some nexts ->
+          Array.iteri
+            (fun i ->
+              Option.iter (fun tr ->
+                  let m', t', _ = Step.apply (module M) machine threads i tr in
+                  push m' t'))
+            nexts;
+          List.iter (fun m' -> push m' threads) (M.internal machine);
+          Hashtbl.replace successors key !succs;
+          if Array.for_all (fun (t : Step.thread) -> t.finished) threads then
+            Hashtbl.replace terminal key ()
     end
   in
-  explore
-    (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout))
-    (initial_threads program);
+  explore (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout)) (Step.initial program);
   if !limit then Liveness_state_limit
   else begin
     (* Backward pass: which states can reach a terminal state?  Build
@@ -248,38 +148,18 @@ let run_random ?(fuel = 10_000) ?(max_steps = 100_000)
   let layout = Ast.layout program in
   let nthreads = Array.length program.Ast.threads in
   let machine = ref (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout)) in
-  let threads = initial_threads program in
+  let threads = ref (Step.initial program) in
   let violated = ref false in
   let trace = ref [] in
-  let record proc kind loc value labeled =
-    trace := (proc, kind, loc, value, labeled) :: !trace
-  in
   let step_thread i =
-    let t = threads.(i) in
-    match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
-    | Exec.Out_of_fuel -> invalid_arg "Explore.run_random: thread ran out of fuel"
-    | Exec.Finished env -> threads.(i) <- { t with env; finished = true }
-    | Exec.At_action (action, env, cont) -> (
-        match action with
-        | Exec.A_load { reg; loc; labeled } ->
-            let v, m' = M.read !machine ~proc:i ~loc ~labeled in
-            machine := m';
-            record i Op.Read loc v labeled;
-            threads.(i) <- { t with env = Exec.Env.set env reg v; cont }
-        | Exec.A_store { loc; value; labeled } ->
-            machine := M.write !machine ~proc:i ~loc ~value ~labeled;
-            record i Op.Write loc value labeled;
-            threads.(i) <- { t with env; cont }
-        | Exec.A_tas { reg; loc } ->
-            let old, m' = M.test_and_set !machine ~proc:i ~loc in
-            machine := m';
-            (* recorded as the write it performs (paper footnote 4) *)
-            record i Op.Write loc 1 true;
-            threads.(i) <- { t with env = Exec.Env.set env reg old; cont }
-        | Exec.A_enter ->
-            if Array.exists (fun (u : thread) -> u.in_cs) threads then violated := true;
-            threads.(i) <- { t with env; cont; in_cs = true }
-        | Exec.A_exit -> threads.(i) <- { t with env; cont; in_cs = false })
+    match Step.next layout ~fuel !threads.(i) with
+    | None -> invalid_arg "Explore.run_random: thread ran out of fuel"
+    | Some tr ->
+        if Step.enters_occupied !threads tr then violated := true;
+        let machine', threads', event = Step.apply (module M) !machine !threads i tr in
+        machine := machine';
+        threads := threads';
+        Option.iter (fun e -> trace := e :: !trace) event
   in
   let rec loop steps =
     (* [max_steps] also guards against livelock: a cyclic program can
@@ -290,7 +170,7 @@ let run_random ?(fuel = 10_000) ?(max_steps = 100_000)
     else
       let runnable =
         List.filter
-          (fun i -> not threads.(i).finished)
+          (fun i -> not !threads.(i).Step.finished)
           (List.init nthreads Fun.id)
       in
       let internals = M.internal !machine in
@@ -304,26 +184,9 @@ let run_random ?(fuel = 10_000) ?(max_steps = 100_000)
       end
   in
   loop 0;
-  let next_index = Array.make nthreads 0 in
-  let ops =
-    List.rev !trace
-    |> List.mapi (fun id (proc, kind, loc, value, labeled) ->
-           let index = next_index.(proc) in
-           next_index.(proc) <- index + 1;
-           {
-             Op.id;
-             proc;
-             index;
-             kind;
-             loc;
-             value;
-             attr = (if labeled then Op.Labeled else Op.Ordinary);
-           })
-  in
-  let history =
-    H.of_ops ~nprocs:nthreads ~loc_names:(Ast.loc_names layout) ops
-  in
-  (history, !violated)
+  ( Smem_machine.Driver.history_of_trace ~nprocs:nthreads
+      ~loc_names:(Ast.loc_names layout) (List.rev !trace),
+    !violated )
 
 let to_verdict ~machine ~subject = function
   | Safe states ->

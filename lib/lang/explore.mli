@@ -2,13 +2,13 @@
     with a mutual-exclusion monitor, random scheduling, and history
     recording.
 
-    The exhaustive explorer interleaves thread steps (each advancing one
-    visible action) with machine-internal steps, memoizing visited
+    The exhaustive explorer interleaves thread steps ({!Step}, each
+    advancing one visible action) with machine-internal steps, memoizing visited
     (machine, threads) states; it decides whether two threads can be in
     their critical sections simultaneously — exactly the §5 question for
     the Bakery algorithm. *)
 
-type verdict =
+type verdict = Dpor.verdict =
   | Safe of int  (** mutual exclusion holds; states explored *)
   | Violation of string list
       (** a schedule reaching two threads in the critical section, as a
@@ -93,7 +93,9 @@ val run_random :
     internal step will refresh makes the unbounded walk diverge (the
     truncated trace is still a valid history).  Returns the history of
     memory operations performed and whether mutual exclusion was
-    violated during the run. *)
+    violated during the run.
+    @raise Invalid_argument when a thread runs out of local [fuel]
+    (default 10_000) before its next visible action. *)
 
 val to_verdict :
   machine:string -> subject:string -> verdict -> Smem_api.Verdict.t

@@ -27,10 +27,10 @@ let conflicting a b =
 exception Found of access * access
 
 (* Exploration over the SC machine: SC state is just the shared memory,
-   and reads are deterministic, so the product automaton is small. *)
+   and reads are deterministic, so the product automaton is small.  A
+   state is keyed by the machine and each thread's registers and
+   continuation. *)
 module M = Smem_machine.Sc_machine
-
-type thread_state = { env : Exec.Env.t; cont : Ast.stmt list; finished : bool }
 
 let find_race ?(max_states = 2_000_000) ?(fuel = 10_000) program =
   let layout = Ast.layout program in
@@ -38,21 +38,17 @@ let find_race ?(max_states = 2_000_000) ?(fuel = 10_000) program =
   let visited = Hashtbl.create 65_537 in
   let states = ref 0 in
   let limit_hit = ref false in
-  (* The next visible action of each unfinished thread (deterministic). *)
-  let pending_accesses threads =
-    Array.to_list
-      (Array.mapi
-         (fun i (t : thread_state) ->
-           if t.finished then None
-           else
-             match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
-             | Exec.At_action (action, _, _) -> access_of_action i action
-             | Exec.Finished _ | Exec.Out_of_fuel -> None)
-         threads)
-    |> List.filter_map Fun.id
-  in
-  let check_for_race threads =
-    let accesses = pending_accesses threads in
+  (* A race is a pair of pending accesses (each thread's next visible
+     action is deterministic) that conflict. *)
+  let check_for_race nexts =
+    let accesses =
+      List.filter_map Fun.id
+        (List.mapi
+           (fun i -> function
+             | Some (Step.Act (action, _, _)) -> access_of_action i action
+             | Some (Step.Finish _) | None -> None)
+           (Array.to_list nexts))
+    in
     List.iteri
       (fun i a ->
         List.iteri
@@ -61,62 +57,34 @@ let find_race ?(max_states = 2_000_000) ?(fuel = 10_000) program =
       accesses
   in
   let rec explore machine threads =
-    let key =
-      (* constant-size key: Hashtbl.hash samples only a bounded prefix
-         of deep states, collapsing large buffered machines into a few
-         buckets (see {!Dpor.digest_key}) *)
-      Digest.string
-        (Marshal.to_string
-           (machine, Array.map (fun t -> (t.env, t.cont)) threads)
-           [ Marshal.No_sharing ])
-    in
+    let key = Step.digest machine threads (fun (t : Step.thread) -> (t.env, t.cont)) in
     if Hashtbl.mem visited key || !limit_hit then ()
     else begin
       incr states;
       if !states > max_states then limit_hit := true
       else begin
         Hashtbl.add visited key ();
-        check_for_race threads;
-        let step i =
-          let t = threads.(i) in
-          if t.finished then ()
-          else
-            match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
-            | Exec.Out_of_fuel ->
-                invalid_arg "Races.find_race: thread ran out of local fuel"
-            | Exec.Finished env ->
-                let threads' = Array.copy threads in
-                threads'.(i) <- { t with env; finished = true };
-                explore machine threads'
-            | Exec.At_action (action, env, cont) -> (
-                let continue_with env' machine' =
-                  let threads' = Array.copy threads in
-                  threads'.(i) <- { t with env = env'; cont };
-                  explore machine' threads'
-                in
-                match action with
-                | Exec.A_load { reg; loc; labeled } ->
-                    let v, m' = M.read machine ~proc:i ~loc ~labeled in
-                    continue_with (Exec.Env.set env reg v) m'
-                | Exec.A_store { loc; value; labeled } ->
-                    continue_with env (M.write machine ~proc:i ~loc ~value ~labeled)
-                | Exec.A_tas { reg; loc } ->
-                    let old, m' = M.test_and_set machine ~proc:i ~loc in
-                    continue_with (Exec.Env.set env reg old) m'
-                | Exec.A_enter | Exec.A_exit -> continue_with env machine)
-        in
-        for i = 0 to nthreads - 1 do
-          step i
-        done
+        match Step.nexts layout ~fuel threads with
+        | None ->
+            (* a thread exhausted its local fuel: the search is bounded *)
+            limit_hit := true
+        | Some nexts ->
+            check_for_race nexts;
+            Array.iteri
+              (fun i ->
+                Option.iter (fun tr ->
+                    let machine', threads', _ =
+                      Step.apply (module M) machine threads i tr
+                    in
+                    explore machine' threads'))
+              nexts
       end
     end
   in
   try
     explore
       (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout))
-      (Array.map
-         (fun code -> { env = Exec.Env.empty; cont = code; finished = false })
-         program.Ast.threads);
+      (Step.initial program);
     if !limit_hit then State_limit else Race_free !states
   with Found (a, b) -> Race (a, b)
 

@@ -30,6 +30,8 @@ type verdict =
       (** a reachable pair of concurrent conflicting accesses with an
           ordinary participant *)
   | State_limit
+      (** the state bound was hit, or a thread exhausted its local fuel
+          (a memory-free loop deeper than [fuel]): the search is bounded *)
 
 val access_of_action : int -> Exec.action -> access option
 (** The shared-memory access a thread's pending action performs, if

@@ -33,28 +33,27 @@ let program_of_history h =
     code;
   }
 
-let attr_of labeled = if labeled then Op.Labeled else Op.Ordinary
+type event = { proc : int; kind : Op.kind; loc : int; value : int; labeled : bool }
 
-let history_of_trace program trace =
-  (* [trace] is (proc, instr, observed value) in issue order. *)
-  let next_index = Array.make program.nprocs 0 in
+let history_of_trace ~nprocs ~loc_names trace =
+  let next_index = Array.make nprocs 0 in
   let ops =
     List.mapi
-      (fun id (proc, instr, value) ->
+      (fun id { proc; kind; loc; value; labeled } ->
         let index = next_index.(proc) in
         next_index.(proc) <- index + 1;
         {
           Op.id;
           proc;
           index;
-          kind = instr.kind;
-          loc = instr.loc;
+          kind;
+          loc;
           value;
-          attr = attr_of instr.labeled;
+          attr = (if labeled then Op.Labeled else Op.Ordinary);
         })
       trace
   in
-  H.of_ops ~nprocs:program.nprocs ~loc_names:program.loc_names ops
+  H.of_ops ~nprocs ~loc_names ops
 
 let run_random (module M : Machine_sig.MACHINE) program ~rand =
   let state = ref (M.create ~nprocs:program.nprocs ~nlocs:program.nlocs) in
@@ -76,18 +75,18 @@ let run_random (module M : Machine_sig.MACHINE) program ~rand =
          | [] -> assert false
          | instr :: rest ->
              remaining.(p) := rest;
-             (match instr.kind with
-             | Op.Read ->
-                 let v, s' =
-                   M.read !state ~proc:p ~loc:instr.loc ~labeled:instr.labeled
-                 in
-                 state := s';
-                 trace := (p, instr, v) :: !trace
-             | Op.Write ->
-                 state :=
-                   M.write !state ~proc:p ~loc:instr.loc ~value:instr.value
-                     ~labeled:instr.labeled;
-                 trace := (p, instr, instr.value) :: !trace)
+             let { kind; loc; value; labeled } : instr = instr in
+             let value =
+               match kind with
+               | Op.Read ->
+                   let v, s' = M.read !state ~proc:p ~loc ~labeled in
+                   state := s';
+                   v
+               | Op.Write ->
+                   state := M.write !state ~proc:p ~loc ~value ~labeled;
+                   value
+             in
+             trace := { proc = p; kind; loc; value; labeled } :: !trace
        end
        else
          let s' = List.nth internals (k - List.length issuers) in
@@ -96,7 +95,8 @@ let run_random (module M : Machine_sig.MACHINE) program ~rand =
     end
   in
   loop ();
-  history_of_trace program (List.rev !trace)
+  history_of_trace ~nprocs:program.nprocs ~loc_names:program.loc_names
+    (List.rev !trace)
 
 (* Guided search: schedule nondeterminism is explored exhaustively, but
    a read may only be issued when the machine would return exactly the

@@ -34,6 +34,22 @@ val program_of_history : Smem_core.History.t -> program
 (** Forget the read values of a history, keeping its instruction
     skeleton. *)
 
+type event = {
+  proc : int;
+  kind : Smem_core.Op.kind;
+  loc : int;
+  value : int;  (** the value a read observed or a write stored *)
+  labeled : bool;
+}
+(** One memory operation as a machine performed it. *)
+
+val history_of_trace :
+  nprocs:int -> loc_names:string array -> event list -> Smem_core.History.t
+(** Number a trace of performed operations, in issue order, into a
+    history: operation ids follow the trace, per-processor indices
+    follow program order.  The one trace-to-history builder, shared
+    with the Lang explorers' recorded runs. *)
+
 val run_random :
   Machine_sig.machine ->
   program ->

@@ -329,6 +329,32 @@ let race_verdicts () =
         ((not a.Smem_lang.Races.labeled) || not b.Smem_lang.Races.labeled)
   | _ -> Alcotest.fail "expected a race"
 
+(* A memory-free loop deeper than the local fuel bounds every explorer:
+   each reports its state-limit verdict instead of raising. *)
+let fuel_exhaustion_is_a_limit () =
+  let p =
+    match
+      Smem_lang.Parse_prog.program_of_string
+        "shared x[1]\n\
+         thread 0 {\n\
+        \  r := 1\n\
+        \  while r != 0 { r := r + 1 }\n\
+        \  store x[0] := 1\n\
+         }\n\
+         thread 1 {\n\
+        \  load r <- x[0]\n\
+         }\n"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "%a" Smem_lang.Parse_prog.pp_error e
+  in
+  check Alcotest.bool "races: state limit" true
+    (Smem_lang.Races.find_race p = Smem_lang.Races.State_limit);
+  check Alcotest.bool "mutex: state limit" true
+    (Explore.check_mutex (machine "sc") p = Explore.State_limit);
+  check Alcotest.bool "liveness: state limit" true
+    (Explore.check_deadlock_freedom (machine "sc") p = Explore.Liveness_state_limit)
+
 (* The DRF guarantee of §1 (Gibbons-Merritt-Gharachorloo, for RC_sc):
    properly labeled programs behave as on SC.  Checked here on the
    mutual-exclusion verdicts of every properly labeled program in the
@@ -548,6 +574,7 @@ let () =
       ( "races",
         [
           tc "verdicts" race_verdicts;
+          tc "fuel exhaustion is a state limit" fuel_exhaustion_is_a_limit;
           tc "DRF guarantee on rc-sc" drf_guarantee;
         ] );
       ( "syntax",
